@@ -144,6 +144,78 @@ let shadow_apply sh action ~vars ~clause =
     sh.s_clauses <- clause :: sh.s_clauses
   | _ -> ()
 
+(* One request/response round trip on a connection; [None] on EOF or
+   after [timeout]. *)
+let next_id = ref 0
+
+let fresh_id () =
+  incr next_id;
+  Printf.sprintf "C%d" !next_id
+
+let rpc ?(timeout = 10.0) (fd, reader) fields =
+  let id = fresh_id () in
+  let payload =
+    Runtime.Journal.encode (("id", Runtime.Journal.String id) :: fields)
+  in
+  match Runtime.Frame.write fd payload with
+  | exception Unix.Unix_error _ -> None
+  | () ->
+    let deadline = Unix.gettimeofday () +. timeout in
+    let result = ref None in
+    (try
+       while !result = None && Unix.gettimeofday () < deadline do
+         (match Unix.select [ fd ] [] [] 0.05 with
+         | [ _ ], _, _ -> (
+           match Runtime.Frame.read_into reader fd with
+           | `Eof -> raise Exit
+           | `Data | `Blocked -> ())
+         | _ -> ()
+         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+         let rec drain () =
+           match Runtime.Frame.next reader with
+           | None -> ()
+           | Some payload ->
+             (match Runtime.Journal.parse_line payload with
+             | Some fields
+               when Runtime.Journal.find_string fields "id" = Some id ->
+               result := Some fields
+             | _ -> ());
+             drain ()
+         in
+         drain ()
+       done
+     with Exit -> ());
+    !result
+
+(* Connect and ping until the (re)started server answers, within 10 s;
+   returns the live connection. A fresh server binds before it listens
+   (ECONNREFUSED), and the stale socket file from a SIGKILLed server
+   still exists until the successor sweeps and rebinds it, so
+   connection attempts simply retry. *)
+let connect_ready ~socket =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    if Unix.gettimeofday () >= deadline then None
+    else
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect fd (Unix.ADDR_UNIX socket) with
+      | exception Unix.Unix_error _ ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Unix.sleepf 0.02;
+        go ()
+      | () -> (
+        Unix.set_nonblock fd;
+        let conn = (fd, Runtime.Frame.create_reader ()) in
+        match rpc ~timeout:2.0 conn [ ("op", Runtime.Journal.String "ping") ]
+        with
+        | Some _ -> Some conn
+        | None ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Unix.sleepf 0.02;
+          go ())
+  in
+  go ()
+
 let run_crash_restart ~server_exe ~socket ~journal ~requests ~sessions ~crashes
     ~json_path ~seed ~verbose =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -180,74 +252,6 @@ let run_crash_restart ~server_exe ~socket ~journal ~requests ~sessions ~crashes
         server_exe; "--socket"; socket; "--journal"; journal; "--wal"; wal_dir;
       |]
       Unix.stdin Unix.stderr Unix.stderr
-  in
-  (* Connect and ping until the (re)started server answers; returns the
-     live connection. The stale socket file from a SIGKILLed server
-     still exists until the successor sweeps and rebinds it, so
-     connection attempts simply retry. *)
-  let next_id = ref 0 in
-  let fresh_id () =
-    incr next_id;
-    Printf.sprintf "C%d" !next_id
-  in
-  let rpc ?(timeout = 10.0) (fd, reader) fields =
-    let id = fresh_id () in
-    let payload =
-      Runtime.Journal.encode (("id", Runtime.Journal.String id) :: fields)
-    in
-    match Runtime.Frame.write fd payload with
-    | exception Unix.Unix_error _ -> None
-    | () ->
-      let deadline = Unix.gettimeofday () +. timeout in
-      let result = ref None in
-      (try
-         while !result = None && Unix.gettimeofday () < deadline do
-           (match Unix.select [ fd ] [] [] 0.05 with
-           | [ _ ], _, _ -> (
-             match Runtime.Frame.read_into reader fd with
-             | `Eof -> raise Exit
-             | `Data | `Blocked -> ())
-           | _ -> ()
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-           let rec drain () =
-             match Runtime.Frame.next reader with
-             | None -> ()
-             | Some payload ->
-               (match Runtime.Journal.parse_line payload with
-               | Some fields
-                 when Runtime.Journal.find_string fields "id" = Some id ->
-                 result := Some fields
-               | _ -> ());
-               drain ()
-           in
-           drain ()
-         done
-       with Exit -> ());
-      !result
-  in
-  let connect_ready () =
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let rec go () =
-      if Unix.gettimeofday () >= deadline then None
-      else
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        match Unix.connect fd (Unix.ADDR_UNIX socket) with
-        | exception Unix.Unix_error _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Unix.sleepf 0.02;
-          go ()
-        | () -> (
-          Unix.set_nonblock fd;
-          let conn = (fd, Runtime.Frame.create_reader ()) in
-          match rpc ~timeout:2.0 conn [ ("op", Runtime.Journal.String "ping") ]
-          with
-          | Some _ -> Some conn
-          | None ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            Unix.sleepf 0.02;
-            go ())
-    in
-    go ()
   in
   (* --- workload ---------------------------------------------------- *)
   let rng = Util.Rng.create seed in
@@ -301,7 +305,7 @@ let run_crash_restart ~server_exe ~socket ~journal ~requests ~sessions ~crashes
   let recovery_times = ref [] in
   let per_phase = max 1 (requests / (crashes + 1)) in
   let t_start = Unix.gettimeofday () in
-  (match connect_ready () with
+  (match connect_ready ~socket with
   | None -> fail "server never became ready"
   | Some conn0 ->
     let conn = ref conn0 in
@@ -388,7 +392,7 @@ let run_crash_restart ~server_exe ~socket ~journal ~requests ~sessions ~crashes
         log "crash %d/%d after %d acked ops" !crashes_done crashes !acked;
         let t0 = Unix.gettimeofday () in
         server_pid := spawn ();
-        (match connect_ready () with
+        (match connect_ready ~socket with
         | None -> fail "server never recovered after crash %d" !crashes_done
         | Some c ->
           recovery_times := (Unix.gettimeofday () -. t0) :: !recovery_times;
@@ -587,16 +591,16 @@ let run server socket_opt requests qps conns jobs max_queue deadline
       let pid = Unix.create_process exe args Unix.stdin Unix.stderr Unix.stderr in
       Some pid
   in
-  (* Wait for the socket to appear. *)
-  let deadline_t = Unix.gettimeofday () +. 10.0 in
-  while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline_t do
-    Unix.sleepf 0.05
-  done;
-  if not (Sys.file_exists socket) then begin
-    fail "server socket %s never appeared" socket;
-    (match server_pid with Some pid -> Unix.kill pid Sys.sigkill | None -> ());
-    exit 1
-  end;
+  (* Ready means the first ping is answered, not just that the socket
+     file exists. *)
+  let first =
+    match connect_ready ~socket with
+    | Some conn -> conn
+    | None ->
+      fail "server on %s never answered a ping" socket;
+      (match server_pid with Some pid -> Unix.kill pid Sys.sigkill | None -> ());
+      exit 1
+  in
   let connect () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Unix.ADDR_UNIX socket);
@@ -605,7 +609,8 @@ let run server socket_opt requests qps conns jobs max_queue deadline
   in
   let h =
     {
-      conns = Array.init (max 1 conns) (fun _ -> connect ());
+      conns =
+        Array.init (max 1 conns) (fun i -> if i = 0 then first else connect ());
       outcomes = Hashtbl.create (2 * requests);
       sent_at = Hashtbl.create (2 * requests);
       verbose;

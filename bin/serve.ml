@@ -39,15 +39,27 @@ let m_failed = Obs.Metrics.counter "serve.failed"
 let m_rejected = Obs.Metrics.counter "serve.rejected"
 let h_latency = Obs.Metrics.histogram "serve.latency_seconds"
 
-(* A connected client: a frame reader over buffered inbound bytes. *)
+(* A client: frames arrive on [in_fd], responses leave on [out_fd] —
+   one socket, or stdin/stdout in --stdio mode. *)
 type client = {
-  fd : Unix.file_descr;
+  in_fd : Unix.file_descr;
+  out_fd : Unix.file_descr;
   reader : Runtime.Frame.reader;
-  mutable alive : bool;
+  mutable reading : bool; (* false after EOF or a malformed frame *)
+  mutable alive : bool; (* false once a response write failed *)
 }
 
+let new_client ~in_fd ~out_fd =
+  {
+    in_fd;
+    out_fd;
+    reader = Runtime.Frame.create_reader ();
+    reading = true;
+    alive = true;
+  }
+
 (* Extract complete frames in arrival order; a malformed length prefix
-   kills the connection. *)
+   ends the connection. *)
 let drain_frames c =
   let out = ref [] in
   let continue = ref true in
@@ -56,8 +68,16 @@ let drain_frames c =
     | Some payload -> out := payload :: !out
     | None -> continue := false
   done;
-  if Runtime.Frame.malformed c.reader then c.alive <- false;
+  if Runtime.Frame.malformed c.reader then c.reading <- false;
   List.rev !out
+
+(* A socket is closed as soon as its client is gone; stdout stays open
+   so the drain can still answer what a stdio client sent before EOF. *)
+let drop c =
+  if c.in_fd = c.out_fd then begin
+    c.alive <- false;
+    try Unix.close c.in_fd with Unix.Unix_error _ -> ()
+  end
 
 (* --- literal / model string helpers ----------------------------------- *)
 
@@ -140,7 +160,7 @@ type server = {
   verbose : bool;
   mutable next_req : int;
   mutable draining : bool;
-  mutable last_sweep : float; (* idle-session TTL sweeps *)
+  mutable next_sweep : float; (* idle-session TTL sweep; infinity = off *)
 }
 
 let log srv fmt =
@@ -163,7 +183,7 @@ let journal_append srv record =
 
 let respond srv client record =
   if client.alive then
-    try Runtime.Frame.write client.fd (Runtime.Journal.encode record)
+    try Runtime.Frame.write client.out_fd (Runtime.Journal.encode record)
     with Unix.Unix_error _ ->
       client.alive <- false;
       log srv "client write failed; dropping connection"
@@ -454,23 +474,22 @@ let handle_frame srv client payload =
 
 (* --- event loop --------------------------------------------------------- *)
 
-let service_client srv client =
-  (match Runtime.Frame.read_into client.reader client.fd with
-  | `Eof -> client.alive <- false
+let service_client srv c =
+  (match Runtime.Frame.read_into c.reader c.in_fd with
+  | `Eof -> c.reading <- false
   | `Data | `Blocked -> ());
-  if client.alive then
-    List.iter (handle_frame srv client) (drain_frames client)
+  if c.alive then List.iter (handle_frame srv c) (drain_frames c)
 
-(* Graceful drain: the listener is already closed and [draining] set.
-   In-flight workers finish under their own limits (the pool launches
-   nothing new once Shutdown is requested); their responses flow out
-   through on_pool_complete; queued-but-never-launched requests are
-   rejected so no client is left hanging. *)
+(* Graceful drain: [draining] is set. In-flight workers finish under
+   their own limits (the pool launches nothing new once Shutdown is
+   requested; after a stdio EOF it still runs what is queued); their
+   responses flow out through on_pool_complete; requests that never
+   launched are rejected so no client is left hanging. *)
 let drain_and_exit srv clients =
   log srv "draining: %d in flight, %d queued"
     (Runtime.Pool.in_flight srv.pool)
     (Runtime.Pool.queued srv.pool);
-  let _completions, not_run = Runtime.Pool.drain srv.pool in
+  let not_run = Runtime.Pool.drain srv.pool in
   List.iter
     (fun pool_id ->
       match Hashtbl.find_opt srv.pending pool_id with
@@ -489,88 +508,68 @@ let drain_and_exit srv clients =
       ("rejected", Runtime.Journal.Int (Obs.Metrics.counter_value m_rejected));
       ("shed", Runtime.Journal.Int (Runtime.Pool.shed_count srv.pool));
     ];
-  List.iter
-    (fun c ->
-      if c.alive then try Unix.close c.fd with Unix.Unix_error _ -> ())
-    !clients;
+  List.iter drop clients;
   log srv "drained cleanly"
 
-(* Idle-session TTL sweep, time-gated to roughly once a second so the
-   select loop's 50 ms ticks don't rescan the table. *)
 let sweep_idle srv =
   let now = Unix.gettimeofday () in
-  if now -. srv.last_sweep >= 1.0 then begin
-    srv.last_sweep <- now;
+  if now >= srv.next_sweep then begin
+    srv.next_sweep <- now +. 1.0;
     let n = Store.evict_idle srv.store in
     if n > 0 then log srv "evicted %d idle session(s)" n
   end
 
-(* Group-commit WAL fsyncs are driven from here on every loop tick:
-   appends only sync opportunistically when more traffic arrives, so
-   without this a pause in traffic would strand the last burst of
-   acked ops outside the --wal-group-commit durability window
-   indefinitely. Store.flush itself checks the interval. *)
+(* Group-commit appends only fsync when later traffic arrives, so the
+   loop wakes at the WAL's due time (Store.flush_due) to bound the
+   durability window across traffic pauses. *)
 let flush_wal srv =
   match Store.flush srv.store with
   | Ok () -> ()
   | Error e -> log srv "wal flush failed: %s" (Runtime.Error.to_string e)
 
-let serve_loop srv ~accept_fd ~initial_clients =
-  let clients = ref initial_clients in
-  let continue = ref true in
-  while !continue do
-    if Runtime.Shutdown.requested () && not srv.draining then begin
-      srv.draining <- true;
-      (match accept_fd with
-      | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ())
-    end;
-    let listen_fds =
-      if srv.draining then [] else Option.to_list accept_fd
+(* Wake on a readable listener, client or worker pipe, on a shutdown
+   signal, or at the earliest of the pool's supervision deadlines, the
+   TTL sweep and the WAL group-commit due time. With no [accept_fd]
+   (stdio) the loop ends when its client does: EOF means drain. *)
+let serve_loop srv ~accept_fd ~clients =
+  let clients = ref clients in
+  let wake = Runtime.Shutdown.wake_fd () in
+  while not srv.draining do
+    let fds =
+      (wake :: Option.to_list accept_fd)
+      @ List.map (fun c -> c.in_fd) !clients
+      @ Runtime.Pool.wait_fds srv.pool
     in
-    let client_fds = List.map (fun c -> c.fd) !clients in
-    let worker_fds = [] in
-    let readable, _, _ =
-      try
-        Unix.select (listen_fds @ client_fds @ worker_fds) [] [] 0.05
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    let until =
+      Float.min
+        (Runtime.Pool.next_deadline srv.pool)
+        (Float.min srv.next_sweep (Store.flush_due srv.store))
     in
+    let readable = Runtime.Loop.wait fds ~until in
+    (* Frames read once the shutdown is seen are answered "rejected". *)
+    srv.draining <- Runtime.Shutdown.requested ();
     (match accept_fd with
     | Some lfd when (not srv.draining) && List.mem lfd readable -> (
       match Unix.accept lfd with
       | fd, _ ->
         Unix.set_nonblock fd;
-        clients :=
-          { fd; reader = Runtime.Frame.create_reader (); alive = true }
-          :: !clients
+        clients := new_client ~in_fd:fd ~out_fd:fd :: !clients
       | exception Unix.Unix_error _ -> ())
     | _ -> ());
     List.iter
-      (fun c -> if List.mem c.fd readable then service_client srv c)
+      (fun c -> if List.mem c.in_fd readable then service_client srv c)
       !clients;
     clients :=
-      List.filter
-        (fun c ->
-          if c.alive then true
-          else begin
-            (try Unix.close c.fd with Unix.Unix_error _ -> ());
-            false
-          end)
-        !clients;
+      List.filter (fun c -> (c.reading && c.alive) || (drop c; false)) !clients;
     Runtime.Pool.pump srv.pool;
     sweep_idle srv;
     flush_wal srv;
-    if srv.draining then begin
-      drain_and_exit srv clients;
-      continue := false
-    end
-    else if accept_fd = None && !clients = [] then begin
-      (* stdio mode: EOF on stdin is a polite shutdown request. *)
-      srv.draining <- true;
-      drain_and_exit srv clients;
-      continue := false
-    end
-  done
+    if accept_fd = None && !clients = [] then srv.draining <- true
+  done;
+  Option.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    accept_fd;
+  drain_and_exit srv !clients
 
 (* --- startup ------------------------------------------------------------ *)
 
@@ -645,7 +644,8 @@ let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
       verbose;
       next_req = 0;
       draining = false;
-      last_sweep = Unix.gettimeofday ();
+      next_sweep =
+        (if session_ttl > 0.0 then Unix.gettimeofday () +. 1.0 else infinity);
     }
   in
   srv_ref := Some srv;
@@ -671,42 +671,8 @@ let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
       ]
   end;
   if stdio then begin
-    (* One client: frames arrive on stdin, responses leave on stdout.
-       [reader] buffers and parses inbound frames; [writer] is the
-       client every response targets. *)
-    let writer =
-      { fd = Unix.stdout; reader = Runtime.Frame.create_reader (); alive = true }
-    in
-    let reader =
-      { fd = Unix.stdin; reader = Runtime.Frame.create_reader (); alive = true }
-    in
-    let continue = ref true in
-    while !continue do
-      if Runtime.Shutdown.requested () && not srv.draining then
-        srv.draining <- true;
-      let readable, _, _ =
-        try Unix.select [ Unix.stdin ] [] [] 0.05
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      if (not srv.draining) && List.mem Unix.stdin readable then begin
-        match Runtime.Frame.read_into reader.reader Unix.stdin with
-        | `Eof ->
-          (* EOF: a polite shutdown request — drain what was buffered. *)
-          List.iter (handle_frame srv writer) (drain_frames reader);
-          srv.draining <- true;
-          reader.alive <- false
-        | `Data | `Blocked -> ()
-      end;
-      if reader.alive then
-        List.iter (handle_frame srv writer) (drain_frames reader);
-      Runtime.Pool.pump srv.pool;
-      sweep_idle srv;
-      flush_wal srv;
-      if srv.draining then begin
-        drain_and_exit srv (ref []);
-        continue := false
-      end
-    done;
+    serve_loop srv ~accept_fd:None
+      ~clients:[ new_client ~in_fd:Unix.stdin ~out_fd:Unix.stdout ];
     0
   end
   else begin
@@ -736,7 +702,7 @@ let run socket stdio jobs max_queue max_retries deadline mem_mb journal pidfile
           (try Unix.close lfd with Unix.Unix_error _ -> ());
           ignore (Runtime.Pidlock.sweep_socket socket_path);
           Runtime.Pidlock.release pidfile)
-        (fun () -> serve_loop srv ~accept_fd:(Some lfd) ~initial_clients:[]);
+        (fun () -> serve_loop srv ~accept_fd:(Some lfd) ~clients:[]);
       0
   end
 

@@ -210,6 +210,7 @@ type wstate = {
   down_w : Unix.file_descr;
   reader : Frame.reader;
   inbox : msg Queue.t;
+  mutable up_open : bool; (* [up_r] not yet drained to EOF *)
   mutable sharing : bool;
   mutable finished : Supervisor.verdict option;
   (* Best-known cumulative counters, from X and D reports. *)
@@ -282,6 +283,7 @@ let solve ?(k = 4) ?(seed = 0) ?(share = true) ?(interval = 1) ?(glue_limit = 4)
           down_w;
           reader = Frame.create_reader ();
           inbox = Queue.create ();
+          up_open = true;
           sharing = share;
           finished = None;
           exported = 0;
@@ -378,9 +380,12 @@ let solve ?(k = 4) ?(seed = 0) ?(share = true) ?(interval = 1) ?(glue_limit = 4)
       | `Data ->
         frames ();
         if w.sharing then pump ()
-      | `Blocked | `Eof -> frames ()
+      | `Eof ->
+        w.up_open <- false;
+        frames ()
+      | `Blocked -> frames ()
     in
-    if w.sharing then pump ()
+    if w.sharing && w.up_open then pump ()
   in
   let service_all () =
     Array.iter
@@ -545,24 +550,31 @@ let solve ?(k = 4) ?(seed = 0) ?(share = true) ?(interval = 1) ?(glue_limit = 4)
             | _ -> ())
         workers
   in
+  (* Service before every loop test: a worker left unfinished here has
+     an open result pipe and a watchdog deadline, so the wait ends. *)
+  service_all ();
   while !winner = None && not (all_finished ()) do
-    service_all ();
+    (* Wake on a sharing message, on a worker's result or heartbeat
+       pipe, or at the earliest supervision deadline. *)
     let fds =
       Array.to_list workers
-      |> List.filter_map (fun w -> if w.sharing then Some w.up_r else None)
+      |> List.concat_map (fun w ->
+             (if w.sharing && w.up_open then [ w.up_r ] else [])
+             @ Supervisor.wait_fds w.sup)
     in
-    (match Unix.select fds [] [] 0.05 with
-    | readable, _, _ ->
-      List.iter
-        (fun fd ->
-          Array.iter (fun w -> if w.up_r = fd then drain w) workers)
-        readable
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    let until =
+      Array.fold_left
+        (fun d w -> Float.min d (Supervisor.next_deadline w.sup))
+        infinity workers
+    in
+    let readable = Runtime.Loop.wait fds ~until in
+    Array.iter (fun w -> if List.mem w.up_r readable then drain w) workers;
+    service_all ();
     barriers ();
     if participants () = [] then solo_winner ()
   done;
-  service_all ();
-  Array.iter (fun w -> drain w) workers;
+  (* The loop services and drains before every test; only a run whose
+     workers all finished before the first wait has barriers pending. *)
   barriers ();
   solo_winner ();
   (* Cancel everyone still running (never the winner: its result

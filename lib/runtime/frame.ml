@@ -5,24 +5,27 @@ let max_frame = 64 * 1024 * 1024
    escapes between two partial writes and tears the frame for every
    later message on the connection. *)
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    match Unix.write fd b !off (n - !off) with
-    | written -> off := !off + written
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
+  (* [single_write] moves at most one chunk, so an EINTR is never
+     raised after bytes moved and the retry cannot duplicate any. *)
+  let rec go off =
+    if off < String.length s then
+      match Unix.single_write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+  in
+  go 0
 
 let write fd payload =
   write_all fd (Printf.sprintf "%d\n%s" (String.length payload) payload)
 
 type reader = {
   buf : Buffer.t;
+  chunk : Bytes.t; (* read scratch, reused so reads allocate nothing *)
   mutable bad : bool;
 }
 
-let create_reader () = { buf = Buffer.create 256; bad = false }
+let create_reader () =
+  { buf = Buffer.create 256; chunk = Bytes.create 65536; bad = false }
 
 let feed r chunk ~len = if not r.bad then Buffer.add_subbytes r.buf chunk 0 len
 
@@ -70,16 +73,15 @@ let next r =
 let malformed r = r.bad
 
 let read_into r fd =
-  let chunk = Bytes.create 65536 in
-  match Unix.read fd chunk 0 (Bytes.length chunk) with
+  match Unix.read fd r.chunk 0 (Bytes.length r.chunk) with
   | 0 -> `Eof
   | n ->
-    feed r chunk ~len:n;
+    feed r r.chunk ~len:n;
     `Data
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     `Blocked
   | exception Unix.Unix_error (Unix.EINTR, _, _) ->
     (* Interrupted before any bytes moved: nothing read, not EOF — the
-       caller's select loop will come back. *)
+       caller's wait will come back. *)
     `Blocked
   | exception Unix.Unix_error _ -> `Eof

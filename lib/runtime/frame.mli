@@ -6,6 +6,10 @@
     escaping, and let a reader with a partial frame wait for the rest
     instead of guessing. *)
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of the string, looping over short writes and
+    retrying EINTR. Raises [Unix.Unix_error] on other errors. *)
+
 val write : Unix.file_descr -> string -> unit
 (** Write one complete frame (blocking; loops over short writes and
     retries EINTR so a signal mid-write cannot tear the frame). Raises

@@ -38,7 +38,6 @@ type t = {
   on_complete : completion -> unit;
   mutable queue : pending list; (* waiting, oldest first *)
   mutable running : running list;
-  mutable completions : completion list; (* newest first *)
   mutable shed_count : int;
 }
 
@@ -60,7 +59,6 @@ let create ?(jobs = 2) ?max_queue ?(max_retries = 2) ?backoff
     on_complete;
     queue = [];
     running = [];
-    completions = [];
     shed_count = 0;
   }
 
@@ -71,10 +69,6 @@ let observe_depths t =
   Obs.Metrics.set g_queue_depth (float_of_int (queued t));
   Obs.Metrics.set g_in_flight (float_of_int (in_flight t))
 
-let complete t c =
-  t.completions <- c :: t.completions;
-  t.on_complete c
-
 let submit t ?limits ~id thunk =
   if queued t >= t.max_queue then begin
     (* Load shedding: a full queue refuses new work instead of letting
@@ -82,7 +76,7 @@ let submit t ?limits ~id thunk =
        accounting stays exact. *)
     t.shed_count <- t.shed_count + 1;
     Obs.Metrics.incr m_shed;
-    complete t { id; attempts = 0; outcome = Shed };
+    t.on_complete { id; attempts = 0; outcome = Shed };
     `Shed
   end
   else begin
@@ -107,8 +101,7 @@ let launch t p =
   t.running <- { r_worker = worker; r_pending = p } :: t.running
 
 (* One scheduling step: reap finished workers (retrying retryable
-   verdicts with backoff), then fill free slots from the queue. Never
-   blocks longer than the select tick. *)
+   verdicts with backoff), then fill free slots from the queue. *)
 let pump t =
   let still_running = ref [] in
   List.iter
@@ -120,9 +113,9 @@ let pump t =
         let attempts = p.p_attempts + 1 in
         match verdict with
         | Supervisor.Completed (Ok payload) ->
-          complete t { id = p.p_id; attempts; outcome = Done payload }
+          t.on_complete { id = p.p_id; attempts; outcome = Done payload }
         | Supervisor.Completed (Error msg) ->
-          complete t { id = p.p_id; attempts; outcome = Failed msg }
+          t.on_complete { id = p.p_id; attempts; outcome = Failed msg }
         | (Supervisor.Exited _ | Supervisor.Signaled _ | Supervisor.Hung _
           | Supervisor.Timed_out _) as v ->
           if attempts <= t.max_retries && not (t.should_stop ()) then begin
@@ -140,7 +133,7 @@ let pump t =
                 ]
           end
           else
-            complete t
+            t.on_complete
               {
                 id = p.p_id;
                 attempts;
@@ -165,23 +158,32 @@ let pump t =
   end;
   observe_depths t
 
-let tick t =
-  let fds = List.concat_map (fun r -> Supervisor.wait_fds r.r_worker) t.running in
-  (try ignore (Unix.select fds [] [] 0.02)
-   with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-  pump t
+let wait_fds t =
+  List.concat_map (fun r -> Supervisor.wait_fds r.r_worker) t.running
 
-(* Graceful drain: stop launching, let in-flight workers finish (their
-   own deadlines and the watchdog still apply), and return what never
-   ran so the caller can report it. *)
+(* Queued tasks only bound the wait when a slot is free to launch them;
+   after [pump] those are exactly the retries still in backoff. *)
+let next_deadline t =
+  let workers =
+    List.fold_left
+      (fun d r -> Float.min d (Supervisor.next_deadline r.r_worker))
+      infinity t.running
+  in
+  if in_flight t >= t.jobs || t.should_stop () then workers
+  else List.fold_left (fun d p -> Float.min d p.p_ready_at) workers t.queue
+
+(* Run until every task completed, or a stop was requested and the
+   in-flight tail has finished (their own deadlines and the watchdog
+   still apply); return the ids that never ran. *)
 let drain t =
   pump t;
-  while in_flight t > 0 do
-    tick t
+  while in_flight t > 0 || (queued t > 0 && not (t.should_stop ())) do
+    ignore (Loop.wait (wait_fds t) ~until:(next_deadline t));
+    pump t
   done;
   let not_run = List.map (fun p -> p.p_id) t.queue in
   t.queue <- [];
-  (List.rev t.completions, not_run)
+  not_run
 
 let shed_count t = t.shed_count
 
@@ -190,23 +192,18 @@ type batch = {
   not_run : string list; (* drained before launch (graceful stop) *)
 }
 
-let run_list ?jobs ?max_retries ?backoff ?limits ?should_stop ?on_complete tasks
-    =
+let run_list ?jobs ?max_retries ?backoff ?limits ?should_stop
+    ?(on_complete = fun _ -> ()) tasks =
+  let completions = ref [] in
   let t =
     create ?jobs
       ~max_queue:(max 1 (List.length tasks))
-      ?max_retries ?backoff ?limits ?should_stop ?on_complete ()
+      ?max_retries ?backoff ?limits ?should_stop
+      ~on_complete:(fun c ->
+        completions := c :: !completions;
+        on_complete c)
+      ()
   in
   List.iter (fun (id, thunk) -> ignore (submit t ~id thunk)) tasks;
-  (* Run until everything completed, or a stop was requested and the
-     in-flight tail has drained. *)
-  let rec loop () =
-    pump t;
-    if in_flight t > 0 || (queued t > 0 && not (t.should_stop ())) then begin
-      tick t;
-      loop ()
-    end
-  in
-  loop ();
-  let completions, not_run = drain t in
-  { completions; not_run }
+  let not_run = drain t in
+  { completions = List.rev !completions; not_run }

@@ -52,10 +52,19 @@ val submit :
 val pump : t -> unit
 (** One non-blocking scheduling step: reap, retry, launch. *)
 
-val drain : t -> completion list * string list
-(** Block until in-flight workers finish (no new launches beyond what
-    the queue admits before a stop); returns completions in completion
-    order and the ids that never ran. *)
+val wait_fds : t -> Unix.file_descr list
+(** Pipes of the running workers, for a caller's {!Loop.wait}. *)
+
+val next_deadline : t -> float
+(** Earliest real-clock time {!pump} has work without pipe input: a
+    running worker's {!Supervisor.next_deadline}, or — while a slot is
+    free and no stop is requested — a queued retry's backoff expiry.
+    [infinity] when idle. *)
+
+val drain : t -> string list
+(** Block until every task completed, or a stop was requested and the
+    in-flight workers have finished (no new launches after the stop).
+    Completions go to [on_complete]; returns the ids that never ran. *)
 
 val in_flight : t -> int
 val queued : t -> int

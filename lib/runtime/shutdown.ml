@@ -1,17 +1,26 @@
-(* Signal state is two cells, written from the handler and polled at
-   safe points (between instances, at epoch ends); handlers do nothing
-   else, so they are safe wherever OCaml delivers signals. *)
+(* Signal state is two cells plus a self-pipe, written from the
+   handler and polled at safe points (between instances, at epoch
+   ends) or waited on by event loops; handlers do nothing else, so
+   they are safe wherever OCaml delivers signals. *)
 
 let flag = ref false
 let received = ref None
 
-let requested () = !flag
+(* Non-blocking at both ends, so neither the handler's write nor
+   [reset]'s drain can block. It holds at most one byte: only the first
+   signal after a [reset] writes. *)
+let wake_r, wake_w = Unix.pipe ~cloexec:true ()
+let () = List.iter Unix.set_nonblock [ wake_r; wake_w ]
+let wake_fd () = wake_r
 
-let signal () = !received
+let requested () = !flag
 
 let exit_code () = match !received with Some s -> 128 + s | None -> 1
 
 let note s =
+  if not !flag then
+    (try ignore (Unix.single_write_substring wake_w "!" 0 1)
+     with Unix.Unix_error _ -> ());
   flag := true;
   if !received = None then received := Some s
 
@@ -40,6 +49,7 @@ let uninstall () =
 
 let reset () =
   flag := false;
-  received := None
+  received := None;
+  try ignore (Unix.read wake_r (Bytes.create 1) 0 1) with Unix.Unix_error _ -> ()
 
 let request () = note 0

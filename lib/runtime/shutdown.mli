@@ -4,7 +4,10 @@
     flag that long-running loops poll at safe points (between campaign
     instances, at epoch boundaries) so they can flush journals and
     write a final checkpoint before exiting non-zero. The handler only
-    sets the flag — all real work happens in the polling code. *)
+    sets the flag and writes one byte to a self-pipe — all real work
+    happens in the polling code. Event loops that block put
+    {!wake_fd} in their {!Loop.wait} set, so a signal landing just
+    before the wait still wakes it. *)
 
 val install : ?signals:int list -> unit -> unit
 (** Install handlers (default SIGINT and SIGTERM). Re-installation is
@@ -16,9 +19,6 @@ val uninstall : unit -> unit
 val requested : unit -> bool
 (** Whether a shutdown signal has arrived. *)
 
-val signal : unit -> int option
-(** OS number of the first signal received, when known. *)
-
 val exit_code : unit -> int
 (** Conventional [128 + signal] exit status (1 when unknown). *)
 
@@ -26,4 +26,8 @@ val request : unit -> unit
 (** Set the flag programmatically (tests, internal escalation). *)
 
 val reset : unit -> unit
-(** Clear the flag (tests). *)
+(** Clear the flag and drain the wake pipe (tests). *)
+
+val wake_fd : unit -> Unix.file_descr
+(** Read end of the self-pipe: readable from the first shutdown
+    signal (or {!request}) until {!reset}. *)

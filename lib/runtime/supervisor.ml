@@ -47,7 +47,7 @@ type t = {
   started : float;
   buf : Buffer.t;
   mutable last_hb : float;
-  mutable result_eof : bool;
+  mutable open_fds : Unix.file_descr list; (* pipes not yet at EOF *)
   mutable term_sent_at : float option;
   mutable kill_sent : bool;
   mutable kill_reason : kill_reason option;
@@ -60,13 +60,6 @@ let label t = t.label
 (* Supervision timing must stay on the real clock even when
    Runtime.Clock runs a fake source for deterministic measurements. *)
 let real_now () = Unix.gettimeofday ()
-
-let write_all fd s =
-  let n = String.length s in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write_substring fd s !written (n - !written)
-  done
 
 let hb_byte = Bytes.of_string "h"
 
@@ -111,7 +104,7 @@ let child_main limits ~inject_crash ~inject_hang result_w hb_w f =
        ignore
          (Unix.setitimer Unix.ITIMER_REAL
             { Unix.it_interval = 0.0; it_value = 0.0 });
-       write_all result_w payload
+       Frame.write_all result_w payload
      end
    with _ -> ());
   (try Unix.close result_w with _ -> ());
@@ -148,31 +141,33 @@ let spawn ?(label = "worker") limits f =
       started = now;
       buf = Buffer.create 256;
       last_hb = now;
-      result_eof = false;
+      open_fds = [ result_r; hb_r ];
       term_sent_at = None;
       kill_sent = false;
       kill_reason = None;
       verdict = None;
     }
 
-let wait_fds t =
-  if t.verdict <> None then []
-  else
-    (if t.result_eof then [] else [ t.result_r ]) @ [ t.hb_r ]
+let wait_fds t = t.open_fds
+let result_eof t = not (List.mem t.result_r t.open_fds)
+
+(* Parent-side reads copy out before the next call, so one scratch
+   buffer serves every worker. *)
+let chunk = Bytes.create 4096
 
 let drain_fd t fd ~on_data =
-  let chunk = Bytes.create 4096 in
+  let eof () = t.open_fds <- List.filter (( <> ) fd) t.open_fds in
   let rec go () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> if fd = t.result_r then t.result_eof <- true
+    | 0 -> eof ()
     | n ->
       on_data chunk n;
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> if fd = t.result_r then t.result_eof <- true
+    | exception Unix.Unix_error _ -> eof ()
   in
-  go ()
+  if List.mem fd t.open_fds then go ()
 
 let send_term t reason ~now =
   if t.term_sent_at = None then begin
@@ -222,14 +217,35 @@ let finalize t status =
   in
   (try Unix.close t.result_r with Unix.Unix_error _ -> ());
   (try Unix.close t.hb_r with Unix.Unix_error _ -> ());
+  t.open_fds <- [];
   count_verdict v;
   t.verdict <- Some v;
   v
 
+(* The earliest time [service] has something to do without new input:
+   the wall deadline, the watchdog threshold, or grace expiry after
+   SIGTERM. Once the result pipe is at EOF the next [service] reaps. *)
+let next_deadline t =
+  if result_eof t then infinity
+  else
+    match t.term_sent_at with
+    | Some _ when t.kill_sent -> infinity
+    | Some at -> at +. t.limits.grace_seconds
+    | None ->
+      let watchdog =
+        t.last_hb +. (t.limits.hang_factor *. t.limits.heartbeat_interval)
+      in
+      Option.fold t.limits.deadline_seconds ~none:watchdog ~some:(fun d ->
+          Float.min watchdog (t.started +. d))
+
+let rec waitpid flags pid =
+  try Unix.waitpid flags pid
+  with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid flags pid
+
 let service t =
   match t.verdict with
   | Some v -> Some v
-  | None ->
+  | None -> (
     let now = real_now () in
     drain_fd t t.hb_r ~on_data:(fun _ _ -> t.last_hb <- now);
     drain_fd t t.result_r ~on_data:(fun chunk n ->
@@ -237,19 +253,22 @@ let service t =
         Buffer.add_subbytes t.buf chunk 0 n);
     (* Escalation ladder: deadline or watchdog first sends SIGTERM;
        grace_seconds later an unresponsive worker gets SIGKILL. *)
-    (match t.limits.deadline_seconds with
-    | Some d when now -. t.started > d && not t.result_eof ->
-      send_term t (Deadline (now -. t.started)) ~now
-    | _ -> ());
-    let silence = now -. t.last_hb in
-    if
-      (not t.result_eof)
-      && silence > t.limits.hang_factor *. t.limits.heartbeat_interval
-    then send_term t (Watchdog silence) ~now;
+    if not (result_eof t) then begin
+      (match t.limits.deadline_seconds with
+      | Some d when now -. t.started >= d ->
+        send_term t (Deadline (now -. t.started)) ~now
+      | _ -> ());
+      let silence = now -. t.last_hb in
+      if silence >= t.limits.hang_factor *. t.limits.heartbeat_interval then
+        send_term t (Watchdog silence) ~now
+    end;
     (match t.term_sent_at with
-    | Some at when now -. at > t.limits.grace_seconds -> send_kill t
+    | Some at when now -. at >= t.limits.grace_seconds -> send_kill t
     | _ -> ());
-    (match Unix.waitpid [ Unix.WNOHANG ] t.pid with
+    (* A result pipe at EOF means the child is already in _exit, so a
+       blocking reap returns promptly; before that, only check. *)
+    let flags = if result_eof t then [] else [ Unix.WNOHANG ] in
+    match waitpid flags t.pid with
     | 0, _ -> None
     | _, status -> Some (finalize t status)
     | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
@@ -261,18 +280,13 @@ let abort t =
   | None ->
     send_term t (Deadline (real_now () -. t.started)) ~now:(real_now ())
 
-(* Block until the worker is done, multiplexing on its pipes with a
-   small tick so watchdog and escalation checks stay timely. *)
-let await t =
-  let rec loop () =
-    match service t with
-    | Some v -> v
-    | None ->
-      let fds = wait_fds t in
-      (try ignore (Unix.select fds [] [] 0.02)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-  in
-  loop ()
+(* Block until the worker is done, waking only on pipe input or the
+   next supervision deadline. *)
+let rec await t =
+  match service t with
+  | Some v -> v
+  | None ->
+    ignore (Loop.wait (wait_fds t) ~until:(next_deadline t));
+    await t
 
 let run ?label limits f = await (spawn ?label limits f)

@@ -62,18 +62,29 @@ val pid : t -> int
 val label : t -> string
 
 val wait_fds : t -> Unix.file_descr list
-(** Descriptors a caller may [select] on while multiplexing workers. *)
+(** Descriptors to {!Loop.wait} on while multiplexing workers: the
+    result and heartbeat pipes not yet drained to EOF ([[]] once
+    reaped). *)
+
+val next_deadline : t -> float
+(** Real-clock time by which {!service} must run again even without
+    pipe input: the earliest of the wall deadline, the watchdog
+    threshold ([last heartbeat + hang_factor × heartbeat_interval]) and
+    grace expiry after SIGTERM. [infinity] once nothing is pending on
+    the clock (reaped, SIGKILL sent, or result pipe at EOF). *)
 
 val service : t -> verdict option
-(** Non-blocking supervision step: drain pipes, run watchdog and
-    deadline checks, escalate kills, reap. [Some v] once the worker is
-    finished (idempotent afterwards). *)
+(** Supervision step: drain pipes, run watchdog and deadline checks,
+    escalate kills, reap. [Some v] once the worker is finished
+    (idempotent afterwards). Blocks only to reap a child whose result
+    pipe is at EOF, which is already exiting. *)
 
 val abort : t -> unit
 (** Begin SIGTERM → SIGKILL shutdown of a running worker. *)
 
 val await : t -> verdict
-(** Block (with timely watchdog ticks) until the worker finishes. *)
+(** Block until the worker finishes, waking only on pipe input or
+    {!next_deadline}. *)
 
 val run : ?label:string -> limits -> (unit -> (string, string) result) -> verdict
 (** [spawn] + [await]. *)

@@ -51,12 +51,6 @@ type t = {
 
 let io ~dir ~op message = Error.Io { path = dir; op; message }
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
 let rec ensure_dir d =
   if d <> Filename.dirname d && not (Sys.file_exists d) then begin
     ensure_dir (Filename.dirname d);
@@ -336,18 +330,19 @@ let sync t =
 
 let dirty t = t.dirty
 
+let sync_due t =
+  if (not t.dirty) || t.closed then infinity
+  else
+    match t.fsync with
+    | Group_commit interval -> t.last_sync +. interval
+    | Per_record -> t.last_sync
+
 (* [append] only fsyncs opportunistically when a later append arrives;
-   callers drive this from their event loop so a traffic pause cannot
+   callers wake at [sync_due] and call this so a traffic pause cannot
    leave acked-but-unsynced records behind past the configured
    interval. *)
 let maybe_sync t =
-  match t.fsync with
-  | Group_commit interval
-    when t.dirty && (not t.closed)
-         && Unix.gettimeofday () -. t.last_sync >= interval ->
-    sync t
-  | Per_record when t.dirty && not t.closed -> sync t
-  | _ -> Ok ()
+  if Unix.gettimeofday () >= sync_due t then sync t else Ok ()
 
 let rotate_if_full t =
   if t.seg_records > 0 && t.seg_size >= t.segment_bytes then begin
@@ -376,12 +371,12 @@ let append t payload =
         (* Crash mid-write: a prefix of the frame reaches the file and
            the handle is unusable, exactly like a process death. *)
         let torn = max 1 (String.length record / 2) in
-        (try write_all t.fd record 0 torn with _ -> ());
+        (try Frame.write_all t.fd (String.sub record 0 torn) with _ -> ());
         t.broken <- true;
         Error (Error.Injected_fault { point = Fault.name Fault.Wal_torn_append })
       end
       else begin
-        write_all t.fd record 0 (String.length record);
+        Frame.write_all t.fd record;
         t.dirty <- true;
         t.seg_size <- t.seg_size + String.length record;
         t.seg_records <- t.seg_records + 1;

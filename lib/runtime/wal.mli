@@ -70,8 +70,13 @@ val maybe_sync : t -> (unit, Error.t) result
 (** Fsync buffered appends iff the {!Group_commit} interval has
     elapsed since the last sync (immediately when dirty under
     {!Per_record}). {!append} only syncs opportunistically when a
-    later append arrives, so callers must drive this from their event
-    loop to bound the durability window across traffic pauses. *)
+    later append arrives, so callers must call this at {!sync_due} to
+    bound the durability window across traffic pauses. *)
+
+val sync_due : t -> float
+(** Real-clock time at which {!maybe_sync} will fsync: the last sync
+    plus the group-commit interval while appends are buffered
+    ([infinity] when clean or closed). *)
 
 val dirty : t -> bool
 (** Whether appends are buffered but not yet fsynced. *)

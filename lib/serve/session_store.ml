@@ -543,4 +543,7 @@ let snapshot_failures t = t.snapshot_failures
 let flush t =
   match t.wal with None -> Ok () | Some wal -> Wal.maybe_sync wal
 
+let flush_due t =
+  match t.wal with None -> infinity | Some wal -> Wal.sync_due wal
+
 let close t = match t.wal with None -> () | Some wal -> Wal.close wal

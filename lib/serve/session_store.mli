@@ -106,9 +106,13 @@ val snapshot_now : t -> (unit, Runtime.Error.t) result
 val flush : t -> (unit, Runtime.Error.t) result
 (** Fsync WAL appends that the group-commit policy has buffered past
     its interval. Appends only sync opportunistically when more
-    traffic arrives, so the serving loop must call this on its tick to
-    bound the durability window across traffic pauses. No-op for
-    volatile stores and under per-record fsync. *)
+    traffic arrives, so the serving loop must call this at
+    {!flush_due} to bound the durability window across traffic
+    pauses. No-op for volatile stores and under per-record fsync. *)
+
+val flush_due : t -> float
+(** When {!flush} next has work: the WAL's group-commit due time while
+    appends are buffered, [infinity] otherwise. *)
 
 val close : t -> unit
 (** Sync and close the WAL. The in-memory table remains usable but no

@@ -463,10 +463,12 @@ let test_pool_runs_all () =
 let test_pool_sheds_on_full_queue () =
   Runtime.Shutdown.reset ();
   let shed = ref [] in
+  let completions = ref [] in
   let pool =
     Runtime.Pool.create ~jobs:1 ~max_queue:1 ~limits:slim
       ~should_stop:(fun () -> false)
       ~on_complete:(fun c ->
+        completions := c :: !completions;
         match c.Runtime.Pool.outcome with
         | Runtime.Pool.Shed -> shed := c.Runtime.Pool.id :: !shed
         | _ -> ())
@@ -481,14 +483,14 @@ let test_pool_sheds_on_full_queue () =
   checkb "at least one submit accepted" true (List.mem `Accepted statuses);
   checkb "shed recorded via on_complete" true (!shed <> []);
   checkb "shed counter agrees" true (Runtime.Pool.shed_count pool >= 1);
-  let completions, not_run = Runtime.Pool.drain pool in
+  let not_run = Runtime.Pool.drain pool in
   checkb "accepted tasks still completed" true
     (List.exists
        (fun (c : Runtime.Pool.completion) ->
          match c.Runtime.Pool.outcome with
          | Runtime.Pool.Done _ -> true
          | _ -> false)
-       completions);
+       !completions);
   checkb "no task stranded" true (not_run = [])
 
 let test_pool_graceful_drain_keeps_journal_intact () =
@@ -545,6 +547,128 @@ let test_shutdown_signal_flag () =
       Unix.sleepf 0.01;
       checkb "requested after SIGTERM" true (Runtime.Shutdown.requested ());
       checki "exit code is 128+SIGTERM" 143 (Runtime.Shutdown.exit_code ()))
+
+(* --- the readiness-or-deadline wait --- *)
+
+let test_shutdown_wakes_wait () =
+  Runtime.Shutdown.reset ();
+  Runtime.Shutdown.install ();
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.Shutdown.uninstall ();
+      Runtime.Shutdown.reset ())
+    (fun () ->
+      let wake = Runtime.Shutdown.wake_fd () in
+      checkb "wake fd quiet before the signal" true
+        (Runtime.Loop.wait [ wake ] ~until:0.0 = []);
+      Unix.kill (Unix.getpid ()) Sys.sigterm;
+      (* No deadline: only the signal's wake byte can end this wait. *)
+      ignore (Runtime.Loop.wait [ wake ] ~until:infinity);
+      checkb "requested after SIGTERM" true (Runtime.Shutdown.requested ());
+      checkb "wake fd readable after SIGTERM" true
+        (Runtime.Loop.wait [ wake ] ~until:0.0 = [ wake ]);
+      Runtime.Shutdown.reset ();
+      checkb "reset drains the wake fd" true
+        (Runtime.Loop.wait [ wake ] ~until:0.0 = []))
+
+let test_supervisor_wakes_bounded () =
+  let wakes () =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "runtime.loop.wakes")
+  in
+  let before = wakes () in
+  check_verdict "no-op worker"
+    (function Runtime.Supervisor.Completed (Ok "") -> true | _ -> false)
+    (Runtime.Supervisor.run slim (fun () -> Ok ""));
+  let n = wakes () - before in
+  (* Heartbeat, payload and EOF: a handful of wakes, never a spin on a
+     pipe already at EOF. *)
+  checkb (Printf.sprintf "%d wakes for a no-op run" n) true (n <= 8)
+
+let test_supervisor_next_deadline_watchdog () =
+  let limits = { slim with Runtime.Supervisor.hang_factor = 10.0 } in
+  let bound = 10.0 *. limits.Runtime.Supervisor.heartbeat_interval in
+  let t0 = Unix.gettimeofday () in
+  let w =
+    Runtime.Supervisor.spawn limits (fun () ->
+        (* Stop the heartbeat timer: the worker goes silent after the
+           one heartbeat sent before user code runs. *)
+        ignore
+          (Unix.setitimer Unix.ITIMER_REAL
+             { Unix.it_interval = 0.0; it_value = 0.0 });
+        Unix.sleepf 30.0;
+        Ok "never")
+  in
+  let settle () =
+    ignore
+      (Runtime.Loop.wait
+         (Runtime.Supervisor.wait_fds w)
+         ~until:(Unix.gettimeofday () +. 0.05));
+    ignore (Runtime.Supervisor.service w);
+    Runtime.Supervisor.next_deadline w
+  in
+  ignore (settle ());
+  let d = settle () in
+  checkb "a silent worker's deadline stays put" true (settle () = d);
+  checkb "deadline is last heartbeat + hang_factor x interval" true
+    (d -. bound >= t0 && d -. bound <= Unix.gettimeofday ());
+  match Runtime.Supervisor.await w with
+  | Runtime.Supervisor.Hung silence ->
+    checkb "watchdog fired at its threshold" true
+      (silence >= bound && Unix.gettimeofday () -. d < 2.0)
+  | v -> Alcotest.failf "expected Hung, got %s" (Runtime.Supervisor.verdict_to_string v)
+
+(* A task whose worker dies on its first attempt and succeeds on the
+   retry (the marker file outlives the crashed process). *)
+let crash_once_task marker () =
+  if Sys.file_exists marker then Ok "second"
+  else begin
+    close_out (open_out marker);
+    Unix._exit 3
+  end
+
+let with_crash_once_pool f =
+  Runtime.Shutdown.reset ();
+  let marker = Filename.temp_file "nscrash" "" in
+  Sys.remove marker;
+  let completions = ref [] in
+  let pool =
+    Runtime.Pool.create ~jobs:1 ~max_retries:1 ~limits:slim
+      ~should_stop:(fun () -> false)
+      ~on_complete:(fun c -> completions := c :: !completions)
+      ()
+  in
+  ignore (Runtime.Pool.submit pool ~id:"crashy" (crash_once_task marker));
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove marker with Sys_error _ -> ())
+    (fun () -> f pool completions)
+
+let test_pool_next_deadline_is_retry_backoff () =
+  with_crash_once_pool (fun pool _ ->
+      Runtime.Pool.pump pool;
+      (* Wait out the first attempt's crash: the retry is queued. *)
+      while Runtime.Pool.in_flight pool > 0 do
+        ignore
+          (Runtime.Loop.wait (Runtime.Pool.wait_fds pool)
+             ~until:(Runtime.Pool.next_deadline pool));
+        Runtime.Pool.pump pool
+      done;
+      let now = Unix.gettimeofday () in
+      let d = Runtime.Pool.next_deadline pool in
+      checki "retry queued" 1 (Runtime.Pool.queued pool);
+      (* Default backoff: the first retry waits in [0.05 s, 5 s]. *)
+      checkb "deadline is the retry's backoff expiry" true
+        (d > now && d <= now +. 5.0);
+      ignore (Runtime.Pool.drain pool))
+
+let test_pool_drain_waits_for_backoff_retry () =
+  with_crash_once_pool (fun pool completions ->
+      let not_run = Runtime.Pool.drain pool in
+      checkb "nothing stranded" true (not_run = []);
+      match !completions with
+      | [ { Runtime.Pool.outcome = Runtime.Pool.Done "second"; attempts; _ } ]
+        ->
+        checki "crash plus retry" 2 attempts
+      | _ -> Alcotest.fail "crash-once task did not drain to Done")
 
 (* --- stale temp-file sweep --- *)
 
@@ -619,6 +743,16 @@ let suite =
     Alcotest.test_case "pool graceful drain, journal intact" `Quick
       test_pool_graceful_drain_keeps_journal_intact;
     Alcotest.test_case "shutdown signal flag" `Quick test_shutdown_signal_flag;
+    Alcotest.test_case "shutdown wakes an unbounded wait" `Quick
+      test_shutdown_wakes_wait;
+    Alcotest.test_case "supervisor wakes bounded" `Quick
+      test_supervisor_wakes_bounded;
+    Alcotest.test_case "supervisor next_deadline is the watchdog" `Quick
+      test_supervisor_next_deadline_watchdog;
+    Alcotest.test_case "pool next_deadline is retry backoff" `Quick
+      test_pool_next_deadline_is_retry_backoff;
+    Alcotest.test_case "pool drain waits for a backoff retry" `Quick
+      test_pool_drain_waits_for_backoff_retry;
     Alcotest.test_case "stale temp-file sweep" `Quick test_sweep_stale_tmp;
   ]
   @ qcheck_tests
@@ -966,6 +1100,29 @@ let test_wal_group_commit_maybe_sync () =
           (Runtime.Wal.dirty wal);
         Runtime.Wal.close wal)
 
+(* The serve loop's WAL deadline: a clean log never asks for a wake; a
+   buffered append asks for one a group-commit interval after the last
+   sync, and waiting until then makes maybe_sync fsync. *)
+let test_wal_sync_due () =
+  with_temp_dir (fun dir ->
+      match Runtime.Wal.open_dir ~fsync:(Runtime.Wal.Group_commit 0.2) dir with
+      | Error e -> Alcotest.failf "open_dir: %s" (Runtime.Error.to_string e)
+      | Ok (wal, _) ->
+        checkb "clean log has no due time" true
+          (Runtime.Wal.sync_due wal = infinity);
+        let before = Unix.gettimeofday () in
+        ignore (wal_append_ok wal "buffered");
+        let due = Runtime.Wal.sync_due wal in
+        checkb "buffered append is due within one interval" true
+          (due > before && due <= Unix.gettimeofday () +. 0.2);
+        ignore (Runtime.Loop.wait [] ~until:due);
+        (match Runtime.Wal.maybe_sync wal with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "maybe_sync: %s" (Runtime.Error.to_string e));
+        checkb "synced at its due time" false (Runtime.Wal.dirty wal);
+        checkb "clean again" true (Runtime.Wal.sync_due wal = infinity);
+        Runtime.Wal.close wal)
+
 (* qcheck: any payload list (arbitrary bytes, any sizes) survives an
    append/close/reopen cycle byte-for-byte, in order. *)
 let prop_wal_roundtrip =
@@ -1029,5 +1186,7 @@ let suite =
         test_wal_gap_fails_loudly;
       Alcotest.test_case "wal group-commit maybe_sync" `Quick
         test_wal_group_commit_maybe_sync;
+      Alcotest.test_case "wal sync_due tracks buffered appends" `Quick
+        test_wal_sync_due;
       QCheck_alcotest.to_alcotest prop_wal_roundtrip;
     ]
